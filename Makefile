@@ -1,6 +1,7 @@
 # Developer entry points. `make verify` is the tier-1 recipe CI and the
 # ROADMAP reference: build + vet + full tests + race over the packages
-# with real concurrency (the observability substrate and flow solvers).
+# with real concurrency (the observability substrate, the flow solvers,
+# the server, the shared worker/singleflight pool and the cluster front).
 
 GO ?= go
 
@@ -18,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/...
+	$(GO) test -race ./internal/obs/... ./internal/flow/... ./internal/server/... ./internal/pool/... ./internal/cluster/...
 
 # cli-smoke exercises every CLI end to end and fails when any tool exits
 # outside the documented {0,1,2} convention or prints a panic trace.
@@ -68,9 +69,9 @@ trace-smoke:
 
 # contract-smoke runs the contracted-vs-raw differential solves under
 # the race detector: the contraction pass shares per-phase state with
-# the warm engine and the parallel flow dispatch, so one racy write
-# there would silently corrupt the active-set runs. -short keeps it to
-# the small sizes.
+# the warm engine and the pooled solver arenas, so one racy write there
+# would silently corrupt the active-set runs. -short keeps it to the
+# small sizes.
 contract-smoke:
 	$(GO) test -race -short -run 'TestContractedMatchesRaw|TestTwoTierCap' ./internal/opt/
 
@@ -80,11 +81,14 @@ verify: build vet test race cli-smoke serve-smoke session-smoke loadgen-smoke cl
 # cold per-round-rebuild baseline) and archives the numbers — ns/op,
 # allocs/op and the solver-internal counters reported via b.ReportMetric
 # — as BENCH_opt.json. The raw benchstat-compatible text lands in
-# bench_opt.txt for `benchstat old.txt bench_opt.txt` comparisons.
+# bench_opt.txt for `benchstat old.txt bench_opt.txt` comparisons. The
+# opt step takes several minutes (the cold 1024- and 4096-job baselines
+# dominate), past go test's 10-minute default on slow hosts, so it gets
+# an explicit timeout.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run xxx .
 	$(GO) test -run xxx -bench 'BenchmarkOptSchedule|BenchmarkFeasibleAtSpeed|BenchmarkMinFeasibleCap' \
-		-benchtime 3x -count 1 ./internal/opt/ | tee bench_opt.txt
+		-benchtime 3x -count 1 -timeout 60m ./internal/opt/ | tee bench_opt.txt
 	$(GO) run ./cmd/benchjson -o BENCH_opt.json < bench_opt.txt >/dev/null
 	$(GO) test -run xxx -bench 'BenchmarkHistogram|BenchmarkLabeledCounter|BenchmarkWritePrometheus' \
 		-benchtime 100x -count 1 ./internal/obs/ | tee bench_obs.txt

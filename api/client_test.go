@@ -2,6 +2,7 @@ package api_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"testing"
@@ -127,14 +128,23 @@ func TestClientSessionLifecycle(t *testing.T) {
 	}
 }
 
-// The deprecated top-level mirrors must keep satisfying a pre-envelope
-// client for one release: decode with only the old fields visible.
+// The envelope carries its fields only under "error": the deprecated
+// top-level "kind" and "request_id" mirrors are gone from the wire, and
+// a body that has only them decodes as a bare-status error.
 func TestErrorBodyBackCompat(t *testing.T) {
 	body := api.NewErrorBody("infeasible", "no schedule", "req-1")
-	if body.Kind != "infeasible" || body.RequestID != "req-1" {
-		t.Errorf("deprecated mirrors not populated: %+v", body)
-	}
 	if body.Error.Kind != "infeasible" || body.Error.Message != "no schedule" || body.Error.RequestID != "req-1" {
 		t.Errorf("nested envelope wrong: %+v", body.Error)
+	}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"error":{"kind":"infeasible","message":"no schedule","request_id":"req-1"}}`; string(raw) != want {
+		t.Errorf("wire form %s, want %s", raw, want)
+	}
+	e := api.DecodeError(422, "hdr-id", []byte(`{"kind":"infeasible","request_id":"req-1"}`))
+	if e.Kind != "http_422" || e.RequestID != "hdr-id" {
+		t.Errorf("pre-envelope body decoded as %+v, want the bare status", e)
 	}
 }

@@ -32,9 +32,9 @@ type Config struct {
 	Seeds int // random seeds per cell
 	N     int // jobs per instance
 
-	// Parallelism is the worker count handed to the solver's parallel
-	// flow layer (opt.WithParallelism / speculative feasibility probes).
-	// <= 1 keeps every solve sequential, the reproducible default.
+	// Parallelism is the component-worker count of every decomposed
+	// offline solve (opt.WithParallelism; mpss-bench -parallel). It only
+	// matters with Decompose, and results are identical at every count.
 	Parallelism int
 
 	// Recorder, when non-nil, collects solver-internal metrics (flow
@@ -43,25 +43,16 @@ type Config struct {
 	// installs a fresh recorder per experiment and renders the snapshots.
 	Recorder *obs.Recorder
 
-	// NoContraction disables interval contraction in every offline solve
-	// the experiments run (the A/B lever behind mpss-bench -contract=false).
-	// Results are bit-identical either way; only the runtime changes.
-	NoContraction bool
-
-	// NoApprox disables the approximate first tier of the cap searches
-	// (mpss-bench -approx=false). The returned caps do not change.
-	NoApprox bool
-
 	// Decompose turns on zero-active-boundary decomposition in every
 	// offline solve (mpss-bench -decompose). Results are bit-identical;
 	// only runtime changes, and only on separable instances.
 	Decompose bool
 }
 
-// solveOpts is the A/B toggle set every experiment passes to
-// opt.Schedule, so one Config switch flips the whole suite.
+// solveOpts is the option set every experiment passes to opt.Schedule,
+// so one Config switch flips the whole suite.
 func (c Config) solveOpts() []opt.Option {
-	return []opt.Option{opt.WithContraction(!c.NoContraction), opt.WithDecomposition(c.Decompose)}
+	return []opt.Option{opt.WithDecomposition(c.Decompose), opt.WithParallelism(c.Parallelism)}
 }
 
 // Defaults returns the configuration used by EXPERIMENTS.md.

@@ -16,6 +16,7 @@ import (
 
 	"mpss/api"
 	"mpss/internal/obs"
+	"mpss/internal/pool"
 )
 
 // Config parameterizes a Front. Spawner is required; everything else
@@ -98,7 +99,7 @@ type Front struct {
 	rec *obs.Recorder
 	log *slog.Logger
 	mux *http.ServeMux
-	sf  flightGroup
+	sf  pool.Group[proxied] // cluster-wide singleflight on the request key
 	as  *autoscaler
 
 	mu       sync.RWMutex
@@ -592,6 +593,24 @@ func (f *Front) route(ctx context.Context, key, method, path string, body []byte
 	return last, have
 }
 
+// proxied is one replica answer held by the front: the upstream status,
+// the raw JSON body, and which replica produced it. The cluster
+// singleflight replays these to followers; like the in-replica cache,
+// only deterministic domain answers (200, 422) qualify.
+type proxied struct {
+	status  int
+	body    []byte
+	replica string
+	cached  string // upstream X-Mpss-Cache header, if any
+}
+
+// cacheable reports whether a proxied response may be replayed to
+// other requests with the same key — the same rule as the replica
+// result cache: deterministic domain answers only.
+func (p proxied) cacheable() bool {
+	return p.status == 200 || p.status == 422
+}
+
 // writeProxied renders a replica answer (or a front-originated error)
 // to the client, stamping which replica served it.
 func (f *Front) writeProxied(w http.ResponseWriter, p proxied, reqID string) {
@@ -650,13 +669,13 @@ func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 
 		// Cluster-wide singleflight: concurrent identical requests —
 		// arriving for ANY replica — share one proxied solve.
-		call, leader := f.sf.join(key)
+		call, leader := f.sf.Join(key)
 		if !leader {
 			f.rec.Add("cluster.coalesced", 1)
 			select {
-			case <-call.done:
-				if call.resp.cacheable() {
-					f.writeProxied(w, call.resp, reqID)
+			case <-call.Done():
+				if resp := call.Val(); resp.cacheable() {
+					f.writeProxied(w, resp, reqID)
 					return
 				}
 			case <-r.Context().Done():
@@ -670,7 +689,7 @@ func (f *Front) solveProxy(kind, path string) http.HandlerFunc {
 		var resp proxied
 		var ok bool
 		func() {
-			defer func() { f.sf.finish(key, call, resp) }()
+			defer func() { f.sf.Finish(key, call, resp) }()
 			resp, ok = f.routeMigrated(r.Context(), key, path, body, reqID)
 		}()
 		if !ok {

@@ -47,9 +47,9 @@ import (
 // still wide (tier 1, width > approxCapWidth relative) — where the
 // probed caps sit far from the feasibility boundary and rounding cannot
 // flip an answer — and finishes with raw probes (tier 2). The probe
-// POINTS of each wave depend only on the bracket, so a search that
-// never gets a coarse answer wrong returns the bit-identical cap the
-// pure raw search does; the differential tests pin that.
+// points depend only on the bracket, so a search that never gets a
+// coarse answer wrong returns the bit-identical cap the pure raw search
+// does; the differential tests pin that.
 
 // approxCapWidth is the relative bracket width above which the cap
 // search runs its probes on the packed network (tier 1). Below it the
@@ -58,8 +58,6 @@ import (
 const approxCapWidth = 1e-2
 
 // packedProbe is the precomputed packed probe shape of one cap search.
-// feasible is safe for concurrent calls (per-call scratch is local; the
-// shared precomputed state is read-only after newPackedProbe).
 type packedProbe struct {
 	in  *job.Instance
 	rec *obs.Recorder

@@ -1,6 +1,9 @@
 package opt
 
-import "math/big"
+import (
+	"math/big"
+	"sync/atomic"
+)
 
 // Interval contraction.
 //
@@ -43,6 +46,23 @@ import "math/big"
 // makes the contracted solver's output bit-identical to the raw one.
 // That rebuild is counted separately ("opt.emit_rebuilds") so the
 // build-once-per-phase accounting of the warm engine stays observable.
+
+// rawIntervals switches contraction and the packed cap tier off
+// process-wide; see SetRawIntervals.
+var rawIntervals atomic.Bool
+
+// SetRawIntervals makes every later solve, session resolve and cap
+// search in the process run on the raw atomic intervals — no interval
+// contraction and no approximate cap tier (approx.go), exactly as the
+// paper's pseudo-code solves — and returns a function restoring the
+// previous setting. Both optimizations are output-invisible, so this
+// changes only the running time. It exists as the reference side of the
+// contracted-vs-raw and two-tier-vs-raw differential tests; production
+// code never calls it.
+func SetRawIntervals(on bool) (restore func()) {
+	prev := rawIntervals.Swap(on)
+	return func() { rawIntervals.Store(prev) }
+}
 
 // contraction is the per-phase super-interval partition shared by the
 // float and exact engines (the exact engine carries the rational run

@@ -17,13 +17,23 @@ import (
 // pin that across the three engines (float warm, float cold, exact
 // rational) and across sizes.
 
+// onRawIntervals runs fn with interval contraction and the approximate
+// cap tier switched off: the reference side of every differential test
+// against the raw path.
+func onRawIntervals(fn func()) {
+	restore := SetRawIntervals(true)
+	defer restore()
+	fn()
+}
+
 func diffSchedule(t *testing.T, seed int64, in *job.Instance, extra ...Option) {
 	t.Helper()
 	con, err := Schedule(in, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Schedule(in, append(extra, WithContraction(false))...)
+	var raw *Result
+	onRawIntervals(func() { raw, err = Schedule(in, extra...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +105,14 @@ func TestTwoTierCapMatchesRaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := MinFeasibleCapObserved(in, 1e-9, nil,
-				WithApproxFirst(false), WithCapContraction(false))
+			var raw float64
+			rawRec := obs.New()
+			onRawIntervals(func() { raw, err = MinFeasibleCapObserved(in, 1e-9, rawRec) })
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := rawRec.Value("opt.approx_probes"); got != 0 {
+				t.Fatalf("%s n=%d: raw reference ran %d approximate probes", gname, n, got)
 			}
 			if two != raw {
 				t.Fatalf("%s n=%d: two-tier cap %v != raw cap %v", gname, n, two, raw)
@@ -194,6 +208,15 @@ func TestContractionCounters(t *testing.T) {
 		}
 		if con > 0 {
 			sawContraction = true
+		}
+		// The raw reference of the differential tests contracts nothing.
+		rawRec := obs.New()
+		onRawIntervals(func() { _, err = Schedule(in, WithRecorder(rawRec)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rawRec.Value("opt.intervals_raw"); n != 0 {
+			t.Fatalf("%s: raw solve ran the contraction pass (%d intervals)", g.Name, n)
 		}
 	}
 	if !sawContraction {

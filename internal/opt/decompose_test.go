@@ -110,7 +110,7 @@ func TestDecomposedMatchesMonolithic(t *testing.T) {
 			in := clusteredInstance(t, gname, 3, 16, 3, 42, gap)
 			diffDecompose(t, 42, in)
 			diffDecompose(t, 42, in, ColdStart())
-			diffDecompose(t, 42, in, WithContraction(false))
+			onRawIntervals(func() { diffDecompose(t, 42, in) })
 		}
 	}
 }
@@ -124,13 +124,13 @@ func TestDecomposedMatchesMonolithicDiurnal(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffDecompose(t, 17, in)
-	diffDecompose(t, 17, in, WithContraction(false))
+	onRawIntervals(func() { diffDecompose(t, 17, in) })
 }
 
 func TestDecomposedMatchesMonolithicExact(t *testing.T) {
 	in := clusteredInstance(t, "bursty", 3, 8, 2, 7, 0)
 	diffDecompose(t, 7, in, Exact())
-	diffDecompose(t, 7, in, Exact(), WithContraction(false))
+	onRawIntervals(func() { diffDecompose(t, 7, in, Exact()) })
 	// Identical clusters force bit-equal phase speeds across components;
 	// the merge must coalesce them into the single phase the monolithic
 	// solve produces. Exact arithmetic makes the equality certain.
@@ -190,12 +190,11 @@ func TestDecomposeProperty(t *testing.T) {
 		gap := float64(rng.Intn(2)) * 10 // half the trials touch at the cut
 		seed := rng.Int63n(1 << 30)
 		in := clusteredInstance(t, gname, k, n, m, seed, gap)
-		opts := [][]Option{nil, {WithContraction(false)}}
+		diffDecompose(t, seed, in)
+		onRawIntervals(func() { diffDecompose(t, seed, in) })
 		if trial%10 == 0 {
-			opts = append(opts, []Option{ColdStart()}, []Option{Exact()})
-		}
-		for _, extra := range opts {
-			diffDecompose(t, seed, in, extra...)
+			diffDecompose(t, seed, in, ColdStart())
+			diffDecompose(t, seed, in, Exact())
 		}
 	}
 }

@@ -31,8 +31,7 @@ import (
 type floatEngine struct {
 	tol      float64
 	cold     bool
-	contract bool // merge flow-equivalent interval runs before solving
-	par      int  // workers for cold solves above ParallelEdgeThreshold; <= 1 = sequential
+	contract bool // merge flow-equivalent interval runs; fixed per solve by prepare
 
 	in        *job.Instance
 	ivs       []job.Interval
@@ -98,6 +97,7 @@ func (e *floatEngine) emptyErr() error {
 
 func (e *floatEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
 	e.in, e.ivs, e.st, e.rec = in, ivs, st, rec
+	e.contract = !rawIntervals.Load()
 	e.firstPhase = true
 	// The histogram handle is cached once per solve: rec.Time allocates a
 	// closure per call, which the per-round profile showed as real.
@@ -386,25 +386,12 @@ func (e *floatEngine) publish() {
 	e.prevOps = ops
 }
 
-// solveFlow runs one max-flow computation with the dispatch policy:
-// cold solves (freshly built network, zero flow) above the size
-// threshold go to the concurrent push-relabel engine when parallelism
-// was requested; everything else — small networks and every warm
-// re-augmentation — stays on sequential Dinic, whose incremental restart
-// is the fast path parallelism must not regress.
+// solveFlow runs one round's max-flow computation: sequential Dinic,
+// re-augmenting from the surviving flow on warm rounds.
 func (e *floatEngine) solveFlow() {
 	var t0 time.Time
 	if e.solveHist != nil {
 		t0 = time.Now()
-	}
-	if e.par > 1 && !e.warmRound && e.g.EdgeCount() >= ParallelEdgeThreshold {
-		prev := e.g.ParOps()
-		e.g.MaxFlowParallel(0, e.sink, e.par)
-		if e.solveHist != nil {
-			e.solveHist.Observe(time.Since(t0).Seconds())
-		}
-		publishParallel(e.rec, e.span, e.g.ParOps().Sub(prev))
-		return
 	}
 	e.g.MaxFlow(0, e.sink)
 	if e.solveHist != nil {

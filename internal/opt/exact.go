@@ -23,7 +23,7 @@ import (
 // needed for warm and cold to agree exactly.
 type exactEngine struct {
 	cold     bool
-	contract bool // merge flow-equivalent interval runs before solving
+	contract bool // merge flow-equivalent interval runs; fixed per solve by prepare
 
 	in  *job.Instance
 	ivs []job.Interval
@@ -82,6 +82,7 @@ func (e *exactEngine) emptyErr() error {
 
 func (e *exactEngine) prepare(in *job.Instance, ivs []job.Interval, st *Stats, rec *obs.Recorder) {
 	e.in, e.ivs, e.st, e.rec = in, ivs, st, rec
+	e.contract = !rawIntervals.Load()
 	e.ivLen = e.ivLen[:0]
 	for _, iv := range ivs {
 		e.ivLen = append(e.ivLen, new(big.Rat).SetFloat64(iv.Len()))

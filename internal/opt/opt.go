@@ -79,15 +79,14 @@ type Result struct {
 type Option func(*config)
 
 type config struct {
-	exact      bool
-	cold       bool
-	noContract bool
-	decompose  bool
-	tol        float64
-	par        int
-	rec        *obs.Recorder
-	span       *obs.Span
-	ctx        context.Context
+	exact     bool
+	cold      bool
+	decompose bool
+	tol       float64
+	par       int
+	rec       *obs.Recorder
+	span      *obs.Span
+	ctx       context.Context
 }
 
 // Exact switches the phase decisions to exact math/big.Rat arithmetic.
@@ -108,19 +107,6 @@ func WithTolerance(tol float64) Option {
 	return func(c *config) { c.tol = tol }
 }
 
-// WithContraction toggles the interval-contraction preprocessing
-// (default on): before each phase's rounds, maximal runs of consecutive
-// event intervals with identical active candidate sets and identical
-// processor budgets are merged into super-intervals, shrinking the flow
-// network the rounds solve without changing any phase decision or the
-// emitted schedule (see contract.go for the equivalence argument; the
-// differential tests prove the output bit-identical). Turning it off
-// solves every round on the raw atomic intervals, as the paper's
-// pseudo-code literally does.
-func WithContraction(on bool) Option {
-	return func(c *config) { c.noContract = !on }
-}
-
 // WithDecomposition toggles windowed decomposition (default off): before
 // choosing an engine, the solver sweeps the job windows for cut points no
 // window crosses, solves the resulting independent components separately
@@ -136,24 +122,12 @@ func WithDecomposition(on bool) Option {
 	return func(c *config) { c.decompose = on }
 }
 
-// ParallelEdgeThreshold is the network size (in forward edges) above
-// which a cold solve dispatches to the concurrent push-relabel engine
-// when WithParallelism is in effect. Below it the sequential Dinic
-// solver wins outright — goroutine startup and atomic traffic cost more
-// than the solve. Exposed as a variable so benchmarks and tests can move
-// the boundary.
-var ParallelEdgeThreshold = 4096
-
-// WithParallelism lets the float engine solve cold flow networks with n
-// concurrent workers (n <= 1 keeps everything sequential, the default).
-// Only from-zero solves on networks of at least ParallelEdgeThreshold
-// edges are dispatched to the concurrent engine; warm re-augmentations
-// stay on the sequential incremental path, which is already faster than
-// re-solving. The maximum-flow *value* — and therefore every phase
-// decision — is independent of n; the flow decomposition an accepted
-// phase emits may legitimately differ from the sequential one's (both
-// are optimal schedules). Runs that must be bit-reproducible against
-// the sequential solver should leave parallelism off.
+// WithParallelism sets the number of component workers a decomposed
+// solve (WithDecomposition) fans its independent components over (n <= 1,
+// the default, solves them one after another). Every component is solved
+// by the same sequential engine whatever n is, and the merge is in
+// component order, so the Result is bit-identical at every worker count.
+// Without decomposition the option has no effect.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.par = n }
 }
@@ -252,13 +226,10 @@ func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 	}
 	if cfg.exact {
 		s.ee.cold = cfg.cold
-		s.ee.contract = !cfg.noContract
 		return runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
 	}
 	s.fe.tol = cfg.tol
 	s.fe.cold = cfg.cold
-	s.fe.contract = !cfg.noContract
-	s.fe.par = cfg.par
 	res, err := runPhases(cfg.ctx, in, &s.fe, cfg.rec, cfg.span)
 	if err == nil || !retryable(err) {
 		return res, err
@@ -278,7 +249,6 @@ func (s *Solver) Schedule(in *job.Instance, opts ...Option) (*Result, error) {
 	}
 	cfg.rec.Add("opt.fallback_exact", 1)
 	s.ee.cold = false
-	s.ee.contract = !cfg.noContract
 	res, err = runPhases(cfg.ctx, in, &s.ee, cfg.rec, cfg.span)
 	if err != nil {
 		return nil, fmt.Errorf("opt: exact fallback also failed: %w (float path: %v)", err, floatErr)
@@ -528,24 +498,6 @@ func publishDinic(rec *obs.Recorder, span *obs.Span, ops flow.DinicOps) {
 	span.Add("bfs_passes", ops.BFSPasses)
 	span.Add("aug_paths", ops.AugPaths)
 	span.Add("edges_scanned", ops.EdgesScanned)
-}
-
-// publishParallel folds one concurrent max-flow solve's operation
-// counts into the recorder and the enclosing phase span.
-func publishParallel(rec *obs.Recorder, span *obs.Span, ops flow.ParOps) {
-	if !rec.Enabled() && span == nil {
-		return
-	}
-	rec.Add("flow.parallel_solves", 1)
-	rec.Add("flow.global_relabels", ops.GlobalRelabels)
-	rec.Add("flow.steals", ops.Steals)
-	rec.Add("flow.par.pushes", ops.Pushes)
-	rec.Add("flow.par.relabels", ops.Relabels)
-	rec.Add("flow.par.discharges", ops.Discharges)
-	rec.Add("flow.par.gap_firings", ops.GapFirings)
-	span.Add("parallel_solves", 1)
-	span.Add("global_relabels", ops.GlobalRelabels)
-	span.Add("steals", ops.Steals)
 }
 
 // publishExact is publishDinic for the exact rational solver.

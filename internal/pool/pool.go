@@ -2,7 +2,9 @@
 // experiment harness: fan a fixed index range out over a worker pool,
 // collect results in order, and stop on the first error. It is a small,
 // allocation-light alternative to pulling in errgroup, built only on
-// goroutines and channels.
+// goroutines and channels. The package also holds the typed arena free
+// list (FreeList) and the singleflight group (Group) the server and the
+// cluster front share.
 package pool
 
 import (

@@ -135,8 +135,6 @@ type solveConfig struct {
 	capLo      float64
 	capHi      float64
 	capBracket bool
-	noContract bool
-	noApprox   bool
 	decompose  bool
 	// decomposeSet distinguishes an explicit WithDecomposition(false)
 	// from the unset default: one-shot solves default off, the streaming
@@ -151,14 +149,14 @@ func WithRecorder(r *Recorder) SolveOption {
 	return func(c *solveConfig) { c.rec = r }
 }
 
-// WithParallelism runs the solver's flow computations with up to n
-// concurrent workers (n <= 1, the default, keeps everything sequential
-// and bit-reproducible). OptimalSchedule dispatches large cold max-flow
-// solves to a concurrent push-relabel engine; MinFeasibleCap and
-// FeasibleAtSpeedBatch evaluate up to n feasibility probes
-// speculatively in parallel. The computed speeds, energy and
-// feasibility answers are independent of n; only the (non-unique)
-// work decomposition inside a phase may differ from a sequential run.
+// WithParallelism sets the number of component workers: a decomposed
+// solve (WithDecomposition, and SolveTraceStream by default) solves its
+// independent components on up to n goroutines (n <= 1, the default,
+// solves them one after another). Each component runs the same
+// sequential max-flow engine whatever n is and the results merge in
+// component order, so the schedule, phases, speeds and energy are
+// bit-identical at every worker count. Solves without decomposition,
+// the cap search and the feasibility test ignore it.
 func WithParallelism(n int) SolveOption {
 	return func(c *solveConfig) { c.par = n }
 }
@@ -169,17 +167,6 @@ func WithParallelism(n int) SolveOption {
 // bound. Other entry points ignore it.
 func WithBracket(lo, hi float64) SolveOption {
 	return func(c *solveConfig) { c.capLo, c.capHi, c.capBracket = lo, hi, true }
-}
-
-// WithContraction toggles interval contraction (default on): before
-// each phase is solved, maximal runs of consecutive atomic intervals
-// with identical active job sets and processor budgets are merged into
-// single super-intervals, shrinking the flow network without changing
-// any computed speed, phase or schedule — results are bit-identical
-// either way. Turning it off is an escape hatch for debugging and for
-// A/B measurement (the -contract=false flag of the CLIs maps here).
-func WithContraction(on bool) SolveOption {
-	return func(c *solveConfig) { c.noContract = !on }
 }
 
 // WithDecomposition toggles windowed decomposition (default off for
@@ -194,17 +181,6 @@ func WithContraction(on bool) SolveOption {
 // cut points pay one O(n log n) sweep and solve exactly as before.
 func WithDecomposition(on bool) SolveOption {
 	return func(c *solveConfig) { c.decompose = on; c.decomposeSet = true }
-}
-
-// WithApproxFirst toggles the two-tier cap search (default on): while
-// the MinFeasibleCap bracket is still wide, feasibility probes run on a
-// contracted, pre-packed network with an early-exit max-flow; the final
-// narrowing always uses full-precision probes on the raw network, so
-// the returned cap is bit-identical either way. Entry points other
-// than MinFeasibleCap ignore it. Disabling contraction also disables
-// the approximate tier.
-func WithApproxFirst(on bool) SolveOption {
-	return func(c *solveConfig) { c.noApprox = !on }
 }
 
 func buildSolveConfig(opts []SolveOption) solveConfig {
@@ -365,28 +341,17 @@ func UniformSpeedMenu(max float64, k int) ([]float64, error) {
 // FeasibleAtSpeed reports whether the instance fits under a maximum
 // processor speed cap (the speed-bounded setting), via one max-flow
 // test. Options: WithRecorder counts the probe and the flow-solver
-// operations, WithContext makes it cancelable; WithParallelism only
-// affects the Batch form.
+// operations, WithContext makes it cancelable.
 func FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, error) {
 	s, release := oneShot(opts)
 	defer release()
 	return s.FeasibleAtSpeed(in, cap)
 }
 
-// FeasibleAtSpeedBatch answers FeasibleAtSpeed for many candidate caps
-// at once, evaluating probes concurrently on pooled flow graphs when
-// WithParallelism(n > 1) is given. The result is index-aligned with
-// caps.
-func FeasibleAtSpeedBatch(in *Instance, caps []float64, opts ...SolveOption) ([]bool, error) {
-	s, release := oneShot(opts)
-	defer release()
-	return s.FeasibleAtSpeedBatch(in, caps)
-}
-
 // MinFeasibleCap returns the smallest processor speed cap at which the
-// instance remains feasible, to relative tolerance rel. With
-// WithParallelism(k > 1) each search wave probes k caps speculatively
-// in parallel; WithBracket skips the initial bracketing solve.
+// instance remains feasible, to relative tolerance rel, by bisection
+// over feasibility probes. WithBracket skips the initial bracketing
+// solve.
 func MinFeasibleCap(in *Instance, rel float64, opts ...SolveOption) (float64, error) {
 	s, release := oneShot(opts)
 	defer release()

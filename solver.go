@@ -28,7 +28,7 @@ func WithContext(ctx context.Context) SolveOption {
 // at steady state without rebuilding graph storage per request.
 //
 // Construct with NewSolver, optionally passing SolveOptions that become
-// the session defaults (recorder, parallelism, context); per-call
+// the session defaults (recorder, component workers, context); per-call
 // options are applied on top. The zero value is not usable.
 //
 // A Solver is NOT safe for concurrent use — use one per goroutine. The
@@ -65,7 +65,7 @@ func (s *Solver) Solve(in *Instance, opts ...SolveOption) (*OptimalResult, error
 	cfg := s.merge(opts)
 	return s.os.Schedule(in,
 		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract), opt.WithDecomposition(cfg.decompose))
+		opt.WithDecomposition(cfg.decompose))
 }
 
 // SolveExact is Solve with all phase decisions carried out in exact
@@ -76,8 +76,8 @@ func (s *Solver) SolveExact(in *Instance, opts ...SolveOption) (*OptimalResult, 
 	}
 	cfg := s.merge(opts)
 	return s.os.Schedule(in,
-		opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract), opt.WithDecomposition(cfg.decompose))
+		opt.Exact(), opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
+		opt.WithDecomposition(cfg.decompose))
 }
 
 // OA runs the online Optimal Available simulation; its per-arrival
@@ -106,17 +106,6 @@ func (s *Solver) AVR(in *Instance, opts ...SolveOption) (*AVRResult, error) {
 func (s *Solver) FeasibleAtSpeed(in *Instance, cap float64, opts ...SolveOption) (bool, error) {
 	cfg := s.merge(opts)
 	return opt.FeasibleAtSpeedCtx(cfg.ctx, in, cap, cfg.rec)
-}
-
-// FeasibleAtSpeedBatch answers FeasibleAtSpeed for many candidate caps
-// at once; see the package-level function.
-func (s *Solver) FeasibleAtSpeedBatch(in *Instance, caps []float64, opts ...SolveOption) ([]bool, error) {
-	cfg := s.merge(opts)
-	workers := cfg.par
-	if workers < 1 {
-		workers = 1
-	}
-	return opt.FeasibleAtSpeedBatchCtx(cfg.ctx, in, caps, workers, cfg.rec)
 }
 
 // MinFeasibleCap returns the smallest processor speed cap at which the
@@ -162,10 +151,7 @@ func (s *Solver) begin(in *Instance, exact bool, opts []SolveOption) error {
 		return err
 	}
 	cfg := s.merge(opts)
-	optOpts := []opt.Option{
-		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract),
-	}
+	optOpts := []opt.Option{opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx)}
 	if exact {
 		optOpts = append(optOpts, opt.Exact())
 	}
@@ -252,14 +238,7 @@ func (s *Solver) End() {
 
 // capOptions translates a solve config into the cap-search option set.
 func (cfg *solveConfig) capOptions() []opt.CapOption {
-	capOpts := []opt.CapOption{
-		opt.WithCapContext(cfg.ctx),
-		opt.WithCapContraction(!cfg.noContract),
-		opt.WithApproxFirst(!cfg.noApprox),
-	}
-	if cfg.par > 1 {
-		capOpts = append(capOpts, opt.WithProbeParallelism(cfg.par))
-	}
+	capOpts := []opt.CapOption{opt.WithCapContext(cfg.ctx)}
 	if cfg.capBracket {
 		capOpts = append(capOpts, opt.WithBracket(cfg.capLo, cfg.capHi))
 	}

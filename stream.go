@@ -111,8 +111,7 @@ func SolveTraceStream(r io.Reader, p PowerFunction, opts ...SolveOption) (*Trace
 			defer wg.Done()
 			for c := range compCh {
 				res, err := opt.Schedule(&job.Instance{M: sum.M, Jobs: c.jobs},
-					opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx),
-					opt.WithContraction(!cfg.noContract))
+					opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 				if err != nil {
 					select {
 					case errCh <- fmt.Errorf("mpss: trace component %d (%d jobs): %w", c.idx, len(c.jobs), err):
@@ -221,9 +220,7 @@ func solveTraceMonolithic(sr *workload.StreamReader, p PowerFunction, cfg *solve
 		}
 		in.Jobs = append(in.Jobs, j)
 	}
-	res, err := opt.Schedule(in,
-		opt.WithRecorder(cfg.rec), opt.WithParallelism(cfg.par), opt.WithContext(cfg.ctx),
-		opt.WithContraction(!cfg.noContract))
+	res, err := opt.Schedule(in, opt.WithRecorder(cfg.rec), opt.WithContext(cfg.ctx))
 	if err != nil {
 		return nil, err
 	}
